@@ -265,14 +265,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(ev.describe())
         survivors = res.runtime.cluster.num_nodes
         print(f"verified on all {survivors} node replicas")
-        if args.trace:
-            from repro.obs.export import write_chrome_trace
-
-            _ensure_parent(args.trace)
-            path = write_chrome_trace(res.runtime.tracer, args.trace)
-            n_spans = len(res.runtime.tracer)
-            print(f"wrote {n_spans} spans to {path} (load in Perfetto or "
-                  f"inspect with 'python -m repro report {path}')")
         if args.profile:
             report = res.runtime.profiler.report(
                 spec=res.runtime.cluster.nodes[0].spec,
@@ -283,24 +275,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             with open(args.profile, "w") as f:
                 f.write(report + "\n")
             print(f"wrote per-line profile to {args.profile}")
-        if args.netflow:
-            _ensure_parent(args.netflow)
-            path = res.runtime.netflow.dump(args.netflow)
-            print(f"wrote netflow ledger "
-                  f"({len(res.runtime.netflow)} collective(s)) to {path} "
-                  f"(render with 'python -m repro netview {path}')")
-        if args.metrics:
-            from repro.obs.metrics import METRICS
-
-            print()
-            print(METRICS.render())
-        if args.metrics_json:
-            from repro.obs.metrics import METRICS
-
-            _ensure_parent(args.metrics_json)
-            with open(args.metrics_json, "w") as f:
-                f.write(METRICS.snapshot_json())
-            print(f"wrote metrics JSON to {args.metrics_json}")
+        _write_observations(
+            args, res.runtime.tracer, res.runtime.netflow,
+            trace_note="load in Perfetto or inspect with "
+                       "'python -m repro report {path}'",
+        )
     elif args.platform == "pgas":
         cluster = make_cluster(args.cluster, args.nodes)
         t = run_on_pgas(spec, cluster)
@@ -310,6 +289,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
         t = run_on_gpu(spec, gpu)
         print(f"{gpu.name} time: {t * 1e3:.4f} ms (verified)")
     return 0
+
+
+def _write_observations(
+    args: argparse.Namespace, tracer, netflow, trace_note: str,
+    netflow_note: str = "",
+) -> None:
+    """Write the --trace/--netflow/--metrics/--metrics-json outputs that
+    run and serve share; ``trace_note`` may name the file as ``{path}``."""
+    from repro.obs.metrics import METRICS
+
+    if args.trace:
+        from repro.obs.export import write_chrome_trace
+
+        _ensure_parent(args.trace)
+        path = write_chrome_trace(tracer, args.trace)
+        print(f"wrote {len(tracer)} spans to {path} "
+              f"({trace_note.format(path=path)})")
+    if args.netflow:
+        _ensure_parent(args.netflow)
+        path = netflow.dump(args.netflow)
+        print(f"wrote netflow ledger ({len(netflow)} collective(s)"
+              f"{netflow_note}) to {path} (render with "
+              f"'python -m repro netview {path}')")
+    if args.metrics:
+        print()
+        print(METRICS.render())
+    if args.metrics_json:
+        _ensure_parent(args.metrics_json)
+        with open(args.metrics_json, "w") as f:
+            f.write(METRICS.snapshot_json())
+        print(f"wrote metrics JSON to {args.metrics_json}")
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -729,31 +739,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"cache_hits={server.jit_cache.hits} "
               f"cache_rejects={server.jit_cache.rejected}; "
               f"saved {server.jit_cache!r}")
-    if args.trace:
-        from repro.obs.export import write_chrome_trace
-
-        _ensure_parent(args.trace)
-        path = write_chrome_trace(server.tracer, args.trace)
-        print(f"wrote {len(server.tracer)} spans to {path} (job spans "
-              f"carry job_id; ranks are physical pool node ids)")
-    if args.netflow:
-        _ensure_parent(args.netflow)
-        path = report.netflow.dump(args.netflow)
-        print(f"wrote netflow ledger ({len(report.netflow)} "
-              f"collective(s), attributed by job_id) to {path} (render "
-              f"with 'python -m repro netview {path}')")
-    if args.metrics:
-        from repro.obs.metrics import METRICS
-
-        print()
-        print(METRICS.render())
-    if args.metrics_json:
-        from repro.obs.metrics import METRICS
-
-        _ensure_parent(args.metrics_json)
-        with open(args.metrics_json, "w") as f:
-            f.write(METRICS.snapshot_json())
-        print(f"wrote metrics JSON to {args.metrics_json}")
+    _write_observations(
+        args, server.tracer, report.netflow,
+        trace_note="job spans carry job_id; ranks are physical pool node "
+                   "ids",
+        netflow_note=", attributed by job_id",
+    )
     if args.check_serial:
         serial = serve_serially(requests, ServeConfig(
             nodes=args.nodes, cluster=args.cluster, topology=args.topology,
@@ -824,6 +815,69 @@ def _read_source(path: str) -> str:
         raise ReproError(f"cannot read {path!r}: {e}") from e
 
 
+# Option groups shared by several subcommands (argparse ``parents=``).
+# Each call builds fresh actions, so a subcommand's ``set_defaults``
+# never leaks into another's.
+def _cluster_opts() -> argparse.ArgumentParser:
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--cluster", default="simd-focused",
+                   choices=("simd-focused", "thread-focused"))
+    g.add_argument("--nodes", type=int, default=4,
+                   help="cluster (or service pool) width in nodes "
+                        "(default: %(default)s)")
+    g.add_argument("--topology", default=None, metavar="KIND",
+                   help="network topology: flat, fat-tree[:K], ring or "
+                        "torus (default: flat alpha-beta fabric; "
+                        "fat-tree:K forces K nodes per leaf switch)")
+    return g
+
+
+def _data_opts() -> argparse.ArgumentParser:
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--size", default="small", choices=("small", "paper"))
+    g.add_argument("--seed", type=int, default=0,
+                   help="seed for workload data (serve: also arrivals "
+                        "and mix draws)")
+    return g
+
+
+def _backend_opts() -> argparse.ArgumentParser:
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--backend", default="auto",
+                   choices=("interp", "jit", "auto"),
+                   help="kernel-execution backend (cucc only): the "
+                        "tree-walking interpreter, the compiled JIT fast "
+                        "path, or auto-fallback (default); outputs and "
+                        "simulated times are bit-identical either way")
+    g.add_argument("--jit-cache", metavar="PATH", default=None,
+                   help="persistent JIT compile cache consulted before "
+                        "codegen and updated after (like the tuning "
+                        "cache; integrity-checked)")
+    g.add_argument("--tuning", metavar="PATH", default=None,
+                   help="JSON tuning cache consulted by the 'auto' "
+                        "Allgather (written by 'repro tune')")
+    return g
+
+
+def _observe_opts() -> argparse.ArgumentParser:
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--trace", metavar="PATH", default=None,
+                   help="record spans (cucc only) and export Chrome "
+                        "trace-event JSON (Perfetto / chrome://tracing); "
+                        "serve spans carry their job_id")
+    g.add_argument("--netflow", metavar="PATH", default=None,
+                   help="record the per-link network flow ledger (cucc "
+                        "only; serve attributes traffic by job_id) and "
+                        "write its JSON document to PATH (render with "
+                        "'repro netview')")
+    g.add_argument("--metrics", action="store_true",
+                   help="print the metrics-registry snapshot after the run")
+    g.add_argument("--metrics-json", metavar="PATH", default=None,
+                   help="write the metrics-registry snapshot as "
+                        "deterministic JSON (sorted names/labels) to PATH")
+    return g
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -844,15 +898,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="CUDA source file ('-' for stdin)")
     p.set_defaults(fn=_cmd_analyze)
 
-    p = sub.add_parser("run", help="run an evaluation workload")
+    p = sub.add_parser(
+        "run", help="run an evaluation workload",
+        parents=[_cluster_opts(), _data_opts(), _backend_opts(),
+                 _observe_opts()],
+    )
     p.add_argument("workload", help="e.g. FIR, KMeans, BinomialOption")
     p.add_argument("--platform", default="cucc",
                    choices=("cucc", "pgas", "a100", "v100"))
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="inject faults (cucc only), e.g. "
@@ -860,25 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed for the fault plan's random choices")
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="network topology: flat, fat-tree[:K], ring or "
-                        "torus (default: flat alpha-beta fabric; "
-                        "fat-tree:K forces K nodes per leaf switch)")
-    p.add_argument("--tuning", metavar="PATH", default=None,
-                   help="JSON tuning cache consulted by the 'auto' "
-                        "Allgather (written by 'repro tune')")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="record spans (cucc only) and export Chrome "
-                        "trace-event JSON (Perfetto / chrome://tracing)")
-    p.add_argument("--netflow", metavar="PATH", default=None,
-                   help="record the per-link network flow ledger (cucc "
-                        "only) and write its JSON document to PATH "
-                        "(render with 'repro netview')")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the metrics-registry snapshot after the run")
-    p.add_argument("--metrics-json", metavar="PATH", default=None,
-                   help="write the metrics-registry snapshot as "
-                        "deterministic JSON (sorted names/labels) to PATH")
     p.add_argument("--profile", metavar="PATH", default=None,
                    help="attribute op counts per kernel source line (cucc "
                         "only) and write the hotspot report to PATH")
@@ -915,16 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm the drift breaker (cucc only): refuse "
                         "launches after repeated |relative model error| "
                         "above BOUND (implies --drift)")
-    p.add_argument("--backend", default="auto",
-                   choices=("interp", "jit", "auto"),
-                   help="kernel-execution backend (cucc only): the "
-                        "tree-walking interpreter, the compiled JIT fast "
-                        "path, or auto-fallback (default); outputs and "
-                        "simulated times are bit-identical either way")
-    p.add_argument("--jit-cache", metavar="PATH", default=None,
-                   help="persistent JIT compile cache consulted before "
-                        "codegen and updated after (like the tuning "
-                        "cache; integrity-checked)")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -938,17 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
             "if the per-line totals do not reproduce the aggregate "
             "OpCounters exactly."
         ),
+        parents=[_cluster_opts(), _data_opts()],
     )
     p.add_argument("workload", help="e.g. FIR, KMeans, BinomialOption")
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="network topology: flat, fat-tree[:K], ring or "
-                        "torus (default: flat alpha-beta fabric; "
-                        "fat-tree:K forces K nodes per leaf switch)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="also write the report to a file")
     p.set_defaults(fn=_cmd_profile)
@@ -1012,14 +1028,8 @@ def build_parser() -> argparse.ArgumentParser:
             "write the winners to a tuning cache that 'run --tuning' and "
             "the 'auto' algorithm resolution hot-load."
         ),
+        parents=[_cluster_opts()],
     )
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="network topology: flat, fat-tree[:K], ring or "
-                        "torus (default: flat alpha-beta fabric; "
-                        "fat-tree:K forces K nodes per leaf switch)")
     p.add_argument("--payload", action="append", metavar="BYTES",
                    help="total Allgather bytes to tune (repeatable; "
                         "default: 1 KiB .. 4 MiB sweep)")
@@ -1092,11 +1102,10 @@ def build_parser() -> argparse.ArgumentParser:
             "compile cache is consulted first and saved after (run "
             "twice to prove cache hits skip codegen)."
         ),
+        parents=[_data_opts()],
     )
     p.add_argument("workload", nargs="*",
                    help="workload name(s); default: the whole zoo")
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache", metavar="PATH", default=None,
                    help="persistent compile-cache file to consult and "
                         "update (e.g. .repro-jit-cache.json)")
@@ -1116,6 +1125,8 @@ def build_parser() -> argparse.ArgumentParser:
             "jobs are rerun one at a time and the command exits 1 unless "
             "every job is bit-identical to its serial twin."
         ),
+        parents=[_cluster_opts(), _data_opts(), _backend_opts(),
+                 _observe_opts()],
     )
     p.add_argument("--mix", default="FIR:2,KMeans:1,Transpose:1",
                    metavar="SPEC",
@@ -1132,48 +1143,17 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="synthesize arrivals for this many simulated "
                         "seconds instead of a fixed --jobs count")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="service pool width (default: %(default)s)")
     p.add_argument("--job-nodes", action="append", type=int, metavar="N",
                    help="node width(s) jobs draw from, repeatable "
                         "(default: every job asks for 2)")
-    p.add_argument("--size", default="small", choices=("small", "paper"))
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix draws and per-job data")
-    p.add_argument("--cluster", default="simd-focused",
-                   choices=("simd-focused", "thread-focused"))
-    p.add_argument("--topology", default=None, metavar="KIND",
-                   help="per-job network topology: flat, fat-tree[:K], "
-                        "ring or torus")
     p.add_argument("--no-pipeline", action="store_true",
                    help="disable Allgather-window pipelining (jobs still "
                         "run concurrently on disjoint subsets)")
-    p.add_argument("--backend", default="auto",
-                   choices=("interp", "jit", "auto"),
-                   help="kernel-execution backend for every job")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="fault plan injected into selected jobs, e.g. "
                         "'crash:rank=1,phase=allgather'")
     p.add_argument("--fault-every", type=int, default=0, metavar="K",
                    help="inject --faults into every Kth job (0 = none)")
-    p.add_argument("--tuning", metavar="PATH", default=None,
-                   help="persistent tuning cache shared by all jobs")
-    p.add_argument("--jit-cache", metavar="PATH", default=None,
-                   help="persistent JIT compile cache shared by all jobs "
-                        "(consulted first, saved after; warm caches serve "
-                        "repeat jobs with zero recompiles)")
-    p.add_argument("--trace", metavar="PATH", default=None,
-                   help="export a Chrome trace of the whole service run; "
-                        "every span carries its job_id")
-    p.add_argument("--netflow", metavar="PATH", default=None,
-                   help="record the per-link flow ledger across all jobs "
-                        "(traffic attributed by job_id, links by pool "
-                        "node id) and write its JSON document to PATH")
-    p.add_argument("--metrics", action="store_true",
-                   help="print the metrics-registry snapshot after the run")
-    p.add_argument("--metrics-json", metavar="PATH", default=None,
-                   help="write the metrics-registry snapshot as "
-                        "deterministic JSON (sorted names/labels) to PATH")
     p.add_argument("--check-serial", action="store_true",
                    help="rerun the same jobs serially and exit 1 unless "
                         "every job is bit-identical")
@@ -1192,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "for every terminally-failed job and every SLO "
                         "hard breach (implies --observatory); render "
                         "with 'repro postmortem FILE'")
-    p.set_defaults(fn=_cmd_serve)
+    p.set_defaults(fn=_cmd_serve, nodes=8)
 
     p = sub.add_parser(
         "explain",

@@ -80,22 +80,7 @@ class Cluster:
         for i, n in enumerate(survivors):
             n.rank = i
         self.nodes = survivors
-        old = self.comm
-        # topology describes physical positions, which survivors keep
-        # (born ranks) — it is carried over unchanged, as is the tuning
-        # cache
-        self.comm = Communicator(
-            survivors,
-            self.network,
-            injector=old.injector,
-            topology=old.topology,
-            tuning=old.tuning,
-        )
-        self.comm.comm_seconds = old.comm_seconds
-        self.comm.comm_bytes = old.comm_bytes
-        self.comm.tracer = old.tracer
-        self.comm.metrics = old.metrics
-        self.comm.netflow = old.netflow
+        self._rebuild_comm()
         return dead
 
     def grow(self, born_ranks) -> list:
@@ -135,6 +120,15 @@ class Cluster:
         self.nodes = sorted(self.nodes + fresh, key=lambda n: n.born_rank)
         for i, n in enumerate(self.nodes):
             n.rank = i
+        self._rebuild_comm()
+        return fresh
+
+    def _rebuild_comm(self) -> None:
+        """Rebuild the communicator over the current node set, carrying
+        over everything attached to the old one: injector, topology and
+        tuning cache (the topology describes physical positions, which
+        nodes keep as born ranks), tracer, metrics, netflow ledger and
+        the cumulative traffic accounting."""
         old = self.comm
         self.comm = Communicator(
             self.nodes,
@@ -143,12 +137,9 @@ class Cluster:
             topology=old.topology,
             tuning=old.tuning,
         )
-        self.comm.comm_seconds = old.comm_seconds
-        self.comm.comm_bytes = old.comm_bytes
-        self.comm.tracer = old.tracer
-        self.comm.metrics = old.metrics
-        self.comm.netflow = old.netflow
-        return fresh
+        for attr in ("tracer", "metrics", "netflow", "comm_seconds",
+                     "comm_bytes"):
+            setattr(self.comm, attr, getattr(old, attr))
 
     def reset_clocks(self) -> None:
         for n in self.nodes:

@@ -198,13 +198,12 @@ class Communicator:
         duration: float,
         total_bytes: int,
         rounds=None,
-        byte_counts=None,
-        positions=None,
+        costs=None,
     ) -> None:
-        """Record one collective span (and its per-round child spans) —
-        called only when the tracer is enabled.  Round costs come from
-        the same :func:`~repro.cluster.collectives.round_costs` sum that
-        priced the collective, so rounds tile the span exactly."""
+        """Record one collective span (and its per-round spans) —
+        called only when the tracer is enabled.  ``costs`` is the very
+        :func:`~repro.cluster.collectives.round_costs` list that priced
+        the collective, so the rounds tile the span without re-pricing."""
         pace = self._pace()
         span_args = {"op": op, "dur_s": duration * pace}
         if buffer:
@@ -223,22 +222,24 @@ class Communicator:
             **span_args,
         )
         if rounds:
+            # round ends are offsets from ``start`` of the left-to-right
+            # partial sums that make up ``duration``, so the last round of
+            # an in-place Allgather ends exactly at the span's end
             cur = start
-            costs = coll.round_costs(
-                self.topology, rounds, byte_counts, positions
-            )
+            acc = 0.0
             for i, c in enumerate(costs):
-                c *= pace
+                acc += c
+                end = start + acc * pace
                 self.tracer.add(
                     f"round {i}",
                     SpanKind.ROUND,
                     cur,
-                    cur + c,
+                    end,
                     round=i,
                     sends=len(rounds[i]),
-                    dur_s=c,
+                    dur_s=c * pace,
                 )
-                cur += c
+                cur = end
 
     # -- fault hooks ------------------------------------------------------
     def _guard(self, op: str):
@@ -263,6 +264,55 @@ class Communicator:
                 f"(injected transient fault)"
             )
         return fault
+
+    def _gather(
+        self,
+        op: str,
+        buffer: str,
+        algo_name: str,
+        bounds: list[tuple[int, int]],
+        byte_counts: list[float],
+        run: bool,
+        corrupt_src: int | None = None,
+        extra_s: float = 0.0,
+    ) -> float:
+        """Run one schedule-driven Allgather and return its duration.
+
+        When ``run`` is set, moves the blocks along ``algo_name``'s
+        schedule, prices its rounds once (summed left to right from 0.0,
+        exactly as :func:`~repro.cluster.collectives.schedule_cost`
+        does) plus ``extra_s`` of local work, and feeds the tracer and
+        the netflow ledger; either way it books the traffic and
+        synchronizes the clocks at the common finish time.
+        """
+        start = self._sync_start()
+        total_bytes = 0
+        duration = 0.0
+        if run:
+            rounds, positions = self._schedule(algo_name)
+            total_bytes = self._move_blocks(buffer, rounds, bounds, corrupt_src)
+            costs = coll.round_costs(
+                self.topology, rounds, byte_counts, positions
+            )
+            for c in costs:
+                duration += c
+            duration += extra_s
+            if self.tracer.enabled:
+                self._trace_collective(
+                    op, buffer, algo_name, start, duration, total_bytes,
+                    rounds, costs,
+                )
+            if self.netflow is not None:
+                self.netflow.record_collective(
+                    op, buffer, algo_name, self.topology, rounds,
+                    byte_counts, positions, start, self._pace(),
+                    total_bytes, duration,
+                )
+        self.comm_bytes += total_bytes
+        if self.metrics.enabled:
+            self.metrics.inc("comm.gathers", algo=algo_name)
+        self._finish(start, duration)
+        return duration
 
     # -- collectives -------------------------------------------------------
     def barrier(self) -> None:
@@ -317,30 +367,10 @@ class Communicator:
                 i for i, n in enumerate(self.nodes)
                 if n.born_rank == corrupt_rank
             )
-        start = self._sync_start()
-        total_bytes = 0
-        duration = 0.0
-        if self.size > 1:
-            rounds, positions = self._schedule(algo_name)
-            total_bytes = self._move_blocks(buffer, rounds, bounds, corrupt_src)
-            duration = coll.schedule_cost(
-                self.topology, rounds, [block_bytes] * self.size, positions
-            )
-            if self.tracer.enabled:
-                self._trace_collective(
-                    "allgather", buffer, algo_name, start, duration,
-                    total_bytes, rounds, [block_bytes] * self.size, positions,
-                )
-            if self.netflow is not None:
-                self.netflow.record_collective(
-                    "allgather", buffer, algo_name, self.topology, rounds,
-                    [block_bytes] * self.size, positions, start,
-                    self._pace(), total_bytes, duration,
-                )
-        self.comm_bytes += total_bytes
-        if self.metrics.enabled:
-            self.metrics.inc("comm.gathers", algo=algo_name)
-        self._finish(start, duration)
+        duration = self._gather(
+            "allgather", buffer, algo_name, bounds,
+            [block_bytes] * self.size, self.size > 1, corrupt_src,
+        )
         if corrupt_rank is not None:
             # receiver-side checksum flags the payload after the transfer
             raise DataCorruptionError(
@@ -367,11 +397,8 @@ class Communicator:
         algo_name = self._resolve_algo(algo, block_bytes * self.size)
         self.last_algorithm = algo_name
         self._guard("allgather-oop")
-        start = self._sync_start()
-        total_bytes = 0
-        duration = 0.0
+        bounds: list[tuple[int, int]] = []
         if per_rank > 0:
-            bounds: list[tuple[int, int]] = []
             for r, node in enumerate(self.nodes):
                 lo = r * per_rank
                 hi = lo + per_rank
@@ -386,33 +413,13 @@ class Communicator:
                 # local phase: every rank's own slice moves into place
                 dst[lo:hi] = src[:per_rank]
                 bounds.append((lo, hi))
-            if self.size > 1:
-                rounds, positions = self._schedule(algo_name)
-                total_bytes = self._move_blocks(dst_buffer, rounds, bounds, None)
-                duration = coll.schedule_cost(
-                    self.topology, rounds, [block_bytes] * self.size, positions
-                )
-                # the input->output copy is what makes this variant
-                # costlier than the in-place one (section 2.3)
-                duration += 2.0 * block_bytes / (copy_GBs * 1e9)
-                if self.tracer.enabled:
-                    self._trace_collective(
-                        "allgather-oop", dst_buffer, algo_name, start,
-                        duration, total_bytes, rounds,
-                        [block_bytes] * self.size, positions,
-                    )
-                if self.netflow is not None:
-                    self.netflow.record_collective(
-                        "allgather-oop", dst_buffer, algo_name,
-                        self.topology, rounds, [block_bytes] * self.size,
-                        positions, start, self._pace(), total_bytes,
-                        duration,
-                    )
-        self.comm_bytes += total_bytes
-        if self.metrics.enabled:
-            self.metrics.inc("comm.gathers", algo=algo_name)
-        self._finish(start, duration)
-        return duration
+        # the input->output copy is what makes this variant costlier
+        # than the in-place one (section 2.3)
+        return self._gather(
+            "allgather-oop", dst_buffer, algo_name, bounds,
+            [block_bytes] * self.size, per_rank > 0 and self.size > 1,
+            extra_s=2.0 * block_bytes / (copy_GBs * 1e9),
+        )
 
     def allgatherv_in_place(
         self, buffer: str, base: int, counts: list[int], algo: str = "auto"
@@ -442,31 +449,10 @@ class Communicator:
         algo_name = self._resolve_algo(algo, float(sum(byte_counts)))
         self.last_algorithm = algo_name
         self._guard("allgatherv")
-        start = self._sync_start()
-        total_bytes = 0
-        duration = 0.0
-        if self.size > 1 and sum(byte_counts) > 0:
-            rounds, positions = self._schedule(algo_name)
-            total_bytes = self._move_blocks(buffer, rounds, bounds, None)
-            duration = coll.schedule_cost(
-                self.topology, rounds, byte_counts, positions
-            )
-            if self.tracer.enabled:
-                self._trace_collective(
-                    "allgatherv", buffer, algo_name, start, duration,
-                    total_bytes, rounds, byte_counts, positions,
-                )
-            if self.netflow is not None:
-                self.netflow.record_collective(
-                    "allgatherv", buffer, algo_name, self.topology, rounds,
-                    byte_counts, positions, start, self._pace(),
-                    total_bytes, duration,
-                )
-        self.comm_bytes += total_bytes
-        if self.metrics.enabled:
-            self.metrics.inc("comm.gathers", algo=algo_name)
-        self._finish(start, duration)
-        return duration
+        return self._gather(
+            "allgatherv", buffer, algo_name, bounds, byte_counts,
+            self.size > 1 and sum(byte_counts) > 0,
+        )
 
     def allreduce_sum(self, buffer: str) -> float:
         """Element-wise sum of every node's replica of ``buffer``; all

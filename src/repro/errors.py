@@ -57,11 +57,6 @@ class DeviceMemoryError(ReproError):
     """Device-memory manager misuse (unknown buffer, double free, ...)."""
 
 
-#: Deprecated alias — the exception was originally published under this
-#: name; existing imports keep working.
-MemoryError_ = DeviceMemoryError
-
-
 class ClusterError(ReproError):
     """Simulated-cluster misuse (rank out of range, mismatched collective)."""
 
@@ -154,12 +149,4 @@ class ServeError(ReproError):
 
     A *job* failing under injected faults is not a ``ServeError`` — the
     server isolates it, marks the job failed and keeps serving.
-    """
-
-
-class SanitizerError(ReproError):
-    """The kernel sanitizer was misused (bad target, unknown kernel).
-
-    Note that a kernel merely *having* findings is not an error — the
-    sanitizer returns a report; callers decide how to surface it.
     """

@@ -18,9 +18,10 @@ Functional execution is performed by the vectorized SPMD interpreter on
 each node's buffers; timing comes from the roofline model applied to the
 dynamic op counts each node actually incurred.
 
-**Fault tolerance.**  Constructed with a
-:class:`~repro.cluster.faults.FaultPlan`, the runtime executes launches
-under a :class:`RecoveryPolicy`:
+**One loop, with or without faults.**  Every launch runs the three
+phases in one recovery loop under a :class:`RecoveryPolicy`.  Constructed
+with a :class:`~repro.cluster.faults.FaultPlan`, the runtime arms a
+fault injector and the loop handles:
 
 * transient collective failures (timeouts, detected payload corruption)
   are retried with exponential backoff;
@@ -36,9 +37,13 @@ under a :class:`RecoveryPolicy`:
 
 All recovery work is charged to the simulated clocks and recorded in the
 launch's :class:`~repro.runtime.program.PhaseTimes` (``recovery`` field),
-so benchmarks can quantify fault overhead.  Without a fault plan the
-runtime takes exactly the fault-free code path: identical modeled times,
-identical traces.
+so benchmarks can quantify fault overhead.  Without an injector (no plan,
+or an empty one) nothing can fail, and the same loop guards every fault
+hook on ``injector is None``: it takes no launch-boundary checkpoint,
+its crash boundaries and straggler check return at once, the loop body
+runs exactly once and the record carries no fault events — the
+fault-free modeled times and traces, with no copy of the written
+buffers.
 """
 
 from __future__ import annotations
@@ -446,16 +451,10 @@ class CuCCRuntime:
             # replicated executions surfaces as a non-replicated write
             self._cur_san = DynamicSanitizer(kernel.name)
         try:
-            if self.injector is None:
-                record = self._launch_plain(
-                    kernel, config, plan, buffer_args, scalar_args,
-                    vectorized, working_set, overhead, pending=pending,
-                )
-            else:
-                record = self._launch_fault_tolerant(
-                    compiled, kernel, config, plan, buffer_args, scalar_args,
-                    vectorized, working_set, overhead, pending=pending,
-                )
+            record = self._launch_phases(
+                compiled, kernel, config, plan, buffer_args, scalar_args,
+                vectorized, working_set, overhead, pending=pending,
+            )
         finally:
             san, self._cur_san = self._cur_san, None
             if lspan is not None:
@@ -561,77 +560,9 @@ class CuCCRuntime:
         )
 
     # ------------------------------------------------------------------
-    # fault-free path (exactly the seed behaviour)
+    # the three-phase loop
     # ------------------------------------------------------------------
-    def _launch_plain(
-        self, kernel, config, plan, buffer_args, scalar_args,
-        vectorized, working_set, overhead, pending=None,
-    ) -> LaunchRecord:
-        stage = pending["stage"] if pending is not None else None
-        if stage is None:
-            partial_time, partial_counters = self._run_partial_phase(
-                kernel, config, plan, buffer_args, scalar_args, vectorized,
-                working_set,
-            )
-            if self.ops is not None:
-                self.ops.on_stage(
-                    "allgather",
-                    self._pending_dict(
-                        "allgather", kernel, config, overhead,
-                        partial_time, partial_counters,
-                    ),
-                )
-        else:
-            # resumed mid-launch: the partial phase already ran (its
-            # results are in the restored replicas and clocks)
-            partial_time = float(pending["partial_time"])
-            partial_counters = [
-                OpCounters(**c) for c in pending["partial_counters"]
-            ]
-        if stage != "callback":
-            allgather_time, algos = self._run_allgather_phase(
-                plan, buffer_args
-            )
-            if self.ops is not None:
-                self.ops.on_stage(
-                    "callback",
-                    self._pending_dict(
-                        "callback", kernel, config, overhead,
-                        partial_time, partial_counters,
-                        allgather_time=allgather_time, algos=algos,
-                    ),
-                )
-        else:
-            allgather_time = float(pending["allgather_time"])
-            algos = list(pending["allgather_algos"])
-        callback_counters = OpCounters()
-        callback_time = 0.0
-        cb = plan.callback_blocks
-        if len(cb) > 0:
-            callback_time = self._run_replicated(
-                kernel, config, buffer_args, scalar_args, cb,
-                callback_counters, vectorized, working_set,
-            )
-        return LaunchRecord(
-            kernel_name=kernel.name,
-            config=config,
-            plan=plan,
-            phases=PhaseTimes(
-                partial=partial_time,
-                allgather=allgather_time,
-                callback=callback_time,
-                overhead=overhead,
-                allgather_algos=tuple(algos),
-            ),
-            partial_counters=partial_counters,
-            callback_counters=callback_counters,
-            comm_bytes=plan.comm_bytes,
-        )
-
-    # ------------------------------------------------------------------
-    # fault-tolerant path
-    # ------------------------------------------------------------------
-    def _launch_fault_tolerant(
+    def _launch_phases(
         self, compiled, kernel, config, plan, buffer_args, scalar_args,
         vectorized, working_set, overhead, pending=None,
     ) -> LaunchRecord:
@@ -640,6 +571,9 @@ class CuCCRuntime:
         The loop re-enters after every survived permanent failure; the
         ``allgather_done`` flag encodes the replication-invariant point
         reached, which decides how much work a recovery must replay.
+        Without an injector no fault can fire, so the loop runs once: no
+        launch-boundary checkpoint is taken and the fault hooks return
+        at once.
 
         ``pending`` (from a durable-checkpoint resume) re-enters the
         loop at the recorded stage with the restored phase accounting;
@@ -648,21 +582,22 @@ class CuCCRuntime:
         remaining ones.
         """
         inj = self.injector
-        pol = self.recovery
-        written = sorted(
-            {
-                buffer_args[r.buffer]
-                for r in compiled.analysis.records
-                if r.buffer in buffer_args
-            }
-        )
         if pending is None:
-            events_start = inj.begin_launch(self.cluster.nodes)
-            ckpt = (
-                self.memory.checkpoint(written, label=f"launch:{kernel.name}")
-                if written
-                else None
-            )
+            events_start = 0
+            ckpt = None
+            if inj is not None:
+                events_start = inj.begin_launch(self.cluster.nodes)
+                written = sorted(
+                    {
+                        buffer_args[r.buffer]
+                        for r in compiled.analysis.records
+                        if r.buffer in buffer_args
+                    }
+                )
+                if written:
+                    ckpt = self.memory.checkpoint(
+                        written, label=f"launch:{kernel.name}"
+                    )
             retries = 0
             recoveries = 0
             recovery_time = 0.0
@@ -756,6 +691,8 @@ class CuCCRuntime:
                     )
                 break
             except NodeFailure as e:
+                if inj is None:
+                    raise
                 recoveries += 1
                 # work of the failed attempt is lost: account it as
                 # recovery cost, not as productive phase time
@@ -792,7 +729,9 @@ class CuCCRuntime:
             partial_counters=partial_counters,
             callback_counters=callback_counters,
             comm_bytes=plan.comm_bytes,
-            fault_events=list(inj.events[events_start:]),
+            fault_events=(
+                list(inj.events[events_start:]) if inj is not None else []
+            ),
             retries=retries,
             recoveries=recoveries,
         )
@@ -833,6 +772,8 @@ class CuCCRuntime:
     def _fault_boundary(self, phase: str) -> None:
         """Deliver scheduled crashes due at this phase boundary; any dead
         node surfaces as a NodeFailure for the recovery driver."""
+        if self.injector is None:
+            return
         nodes = self.cluster.nodes
         self.injector.poll_crashes(phase, self.cluster.max_clock, nodes)
         dead = tuple(n.born_rank for n in nodes if not n.alive)
@@ -844,11 +785,16 @@ class CuCCRuntime:
     def _check_stragglers(self, plan, node_times: list[float]) -> None:
         """Flag nodes whose partial-phase time ran past the policy's
         timeout (straggler_factor x the median node); optionally evict."""
+        nodes = self.cluster.nodes
+        if (
+            self.injector is None
+            or plan.replicated
+            or len(nodes) < 2
+            or len(node_times) != len(nodes)
+        ):
+            return
         import statistics
 
-        nodes = self.cluster.nodes
-        if plan.replicated or len(nodes) < 2 or len(node_times) != len(nodes):
-            return
         median = statistics.median(node_times)
         if median <= 0.0:
             return
@@ -1008,7 +954,7 @@ class CuCCRuntime:
         return pol.failure_detect_s
 
     # ------------------------------------------------------------------
-    # phase executors (shared by both paths)
+    # phase executors
     # ------------------------------------------------------------------
     def _run_partial_phase(
         self, kernel, config, plan, buffer_args, scalar_args, vectorized,
@@ -1071,39 +1017,6 @@ class CuCCRuntime:
             if pspan is not None:
                 tracer.end(pspan, self.cluster.max_clock)
         return partial_time, partial_counters
-
-    def _run_allgather_phase(
-        self, plan, buffer_args
-    ) -> tuple[float, list[str]]:
-        """Phase 2: one balanced in-place Allgather per written buffer.
-
-        Returns the phase duration and the unique concrete algorithm(s)
-        the communicator ran, in first-use order."""
-        allgather_time = 0.0
-        algos: list[str] = []
-        if not plan.replicated and plan.p_size > 0:
-            tracer = self.tracer
-            aspan = (
-                tracer.begin(
-                    "allgather", SpanKind.PHASE, self.cluster.max_clock
-                )
-                if tracer.enabled
-                else None
-            )
-            comm = self.cluster.comm
-            for bp in plan.buffers:
-                allgather_time += comm.allgather_in_place(
-                    buffer_args[bp.buffer],
-                    bp.base_elem,
-                    plan.p_size * bp.unit_elems,
-                    algo=self.allgather_algo,
-                )
-                if comm.last_algorithm and comm.last_algorithm not in algos:
-                    algos.append(comm.last_algorithm)
-            if aspan is not None:
-                aspan.args["algos"] = list(algos)
-                tracer.end(aspan, self.cluster.max_clock)
-        return allgather_time, algos
 
     # ------------------------------------------------------------------
     def _executor(self, kernel, config, buffer_args, scalar_args, node,

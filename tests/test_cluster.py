@@ -266,10 +266,3 @@ def test_zero_byte_allgather_is_modeled_noop():
     assert d == 0.0
     assert [n.clock.now for n in cl.nodes] == before  # not even synchronized
     assert cl.comm.comm_bytes == 0 and cl.comm.comm_seconds == 0.0
-
-
-def test_device_memory_error_alias():
-    """The deprecated MemoryError_ name must remain importable."""
-    from repro.errors import MemoryError_
-
-    assert MemoryError_ is DeviceMemoryError

@@ -30,6 +30,7 @@ from repro.errors import (
     NodeFailure,
 )
 from repro.hw import SIMD_FOCUSED_NODE
+from repro.obs.export import write_chrome_trace
 from repro.runtime import CuCCRuntime, RecoveryPolicy
 from repro.workloads import fir, vecadd
 
@@ -349,20 +350,56 @@ def test_deterministic_replay_random_plans(seed):
 # ---------------------------------------------------------------------------
 # zero overhead by default
 # ---------------------------------------------------------------------------
-def test_no_fault_plan_is_bit_identical_to_seed_behaviour(spec, reference):
-    ref, ref_out = reference
-    # an *empty* plan must also take the plain path
-    res = run_on_cucc(spec, _cluster(), fault_plan=FaultPlan())
-    assert res.runtime.injector is None
+def _traced_fat_tree_run(spec, fault_plan=None):
+    cluster = make_cluster("simd-focused", NODES, topology="fat-tree:2")
+    return run_on_cucc(spec, cluster, fault_plan=fault_plan, trace=True)
+
+
+@pytest.fixture(scope="module")
+def traced_reference(spec):
+    """Fault-free traced run on a contended fabric."""
+    return _traced_fat_tree_run(spec)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    ["", "transient:op=99", "crash:rank=1,time=1e9"],
+    ids=["empty", "transient-never-due", "crash-never-due"],
+)
+def test_no_fault_plan_is_bit_identical_to_seed_behaviour(
+    spec, traced_reference, plan, tmp_path
+):
+    """An empty plan and an armed injector whose faults never fire both
+    reproduce the no-plan run exactly: the launch loop is one code path."""
+    ref = traced_reference
+    assert not ref.record.plan.replicated  # phase 2 really runs
+    res = _traced_fat_tree_run(spec, FaultPlan.parse(plan))
+    if not plan:
+        assert res.runtime.injector is None
+    else:
+        assert res.runtime.injector is not None
     assert res.time == ref.time
+    assert res.record.phases == ref.record.phases
     assert res.record.phases.recovery == 0.0
     assert res.record.fault_events == []
+    assert res.record.retries == 0 and res.record.recoveries == 0
+    assert [c.as_dict() for c in res.record.partial_counters] == [
+        c.as_dict() for c in ref.record.partial_counters
+    ]
+    assert (
+        res.record.callback_counters.as_dict()
+        == ref.record.callback_counters.as_dict()
+    )
     out = _outputs(spec, res)
+    ref_out = _outputs(spec, ref)
     for o in spec.outputs:
         assert np.array_equal(out[o], ref_out[o])
     # trace reports render identically (no fault summary line)
     assert res.runtime.report() == ref.runtime.report()
     assert "faults" not in ref.runtime.report()
+    a = write_chrome_trace(ref.runtime.tracer, tmp_path / "ref.json")
+    b = write_chrome_trace(res.runtime.tracer, tmp_path / "res.json")
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_fault_free_describe_has_no_fault_suffix(reference):

@@ -143,15 +143,63 @@ def test_traced_run_has_per_rank_phase_and_round_spans():
     )
     colls = tr.by_kind(SpanKind.COLLECTIVE)
     assert colls, "allgather collective span missing"
-    rounds = tr.by_kind(SpanKind.ROUND)
-    assert rounds, "per-round collective spans missing"
-    # rounds tile their collective exactly (same float accumulation
-    # order as schedule_cost, and pace is exactly 1.0 fault-free)
-    for c in colls:
-        kids = [r for r in rounds if r.parent == c.id]
-        if kids:
-            assert kids[0].t0 == c.t0
-            assert kids[-1].t1 == c.t1
+    assert tr.by_kind(SpanKind.ROUND), "per-round collective spans missing"
+    groups = _collective_rounds(tr)
+    assert groups and all(rounds for _, rounds in groups)
+    for c, rounds in groups:
+        _assert_rounds_contiguous(c, rounds)
+        assert rounds[-1].t1 == c.t1
+
+
+def _collective_rounds(tr):
+    """(collective span, its round spans) pairs.  Rounds are recorded
+    right after their collective, as siblings under the same parent."""
+    groups = []
+    for s in tr.spans:
+        if s.kind == SpanKind.COLLECTIVE:
+            groups.append((s, []))
+        elif s.kind == SpanKind.ROUND:
+            groups[-1][1].append(s)
+    return groups
+
+
+def _assert_rounds_contiguous(c, rounds):
+    assert rounds[0].t0 == c.t0
+    for a, b in zip(rounds, rounds[1:]):
+        assert b.t0 == a.t1
+
+
+@pytest.mark.parametrize("variant", ["in-place", "out-of-place", "v"])
+def test_round_spans_tile_every_allgather_variant(variant):
+    """Round spans reuse the cost list that priced the collective: they
+    start at its t0 and run back to back; in-place and v end exactly at
+    its t1, out-of-place short of it by the local-copy term."""
+    cl = make_cluster("simd-focused", NODES, topology="fat-tree:2")
+    tr = Tracer()
+    cl.comm.tracer = tr
+    per_rank = 48
+    for node in cl.nodes:
+        node.alloc("src", per_rank, np.float32)
+        node.alloc("d", per_rank * NODES, np.float32)
+    cl.nodes[1].clock.advance(3.7e-6)  # a non-zero, uneven start
+    copy_GBs = 10.0
+    if variant == "in-place":
+        dur = cl.comm.allgather_in_place("d", 0, per_rank)
+    elif variant == "out-of-place":
+        dur = cl.comm.allgather_out_of_place(
+            "src", "d", per_rank, copy_GBs=copy_GBs
+        )
+    else:
+        dur = cl.comm.allgatherv_in_place("d", 0, [5, 48, 0, 17])
+    ((c, rounds),) = _collective_rounds(tr)
+    assert rounds and c.t0 == 3.7e-6
+    assert c.args["dur_s"] == dur
+    _assert_rounds_contiguous(c, rounds)
+    if variant == "out-of-place":
+        copy_s = 2.0 * per_rank * 4 / (copy_GBs * 1e9)
+        assert c.t1 - rounds[-1].t1 == pytest.approx(copy_s, rel=1e-9)
+    else:
+        assert rounds[-1].t1 == c.t1
 
 
 def test_chrome_trace_schema_and_rank_timelines(tmp_path):
